@@ -15,10 +15,22 @@ The set provides the paper's coordinator-side operations:
   last copy can be handed out again;
 * **termination detection** (§4.3) — the run is over exactly when the
   set becomes empty; empty intervals are dropped automatically.
+
+Serving a request costs O(G log n), not O(n): records are indexed by
+the sum of their holders' powers (G distinct sums), each group a
+max-heap on length.  For a fixed holder power the requester's share is
+nondecreasing in the length (the split is integer-exact, see
+:func:`~repro.core.operators.partition_point`), so selection visits
+each group's longest records and stops at the first share below the
+best so far.  Lengths only shrink, so a heap key is an upper bound
+that is re-keyed lazily when it reaches the top.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Mapping, Optional, Sequence, Set, Tuple
 
@@ -29,6 +41,10 @@ from repro.exceptions import IntervalError
 __all__ = ["IntervalRecord", "IntervalSet", "Assignment"]
 
 WorkerId = Hashable
+
+#: The heaps are rebuilt once they hold more than this many entries per
+#: live record (plus a constant): stale entries cost memory, not results.
+_STALE_FACTOR = 2
 
 
 @dataclass
@@ -60,6 +76,9 @@ class IntervalSet:
         (§4.2) — the requester explores the same numbers as the holder,
         bounding the tail latency of tiny work units at the price of
         redundant node exploration (paper measured < 0.4 %).
+
+    Records returned by :meth:`records` are read-only views: every
+    mutation goes through the set's operators, which keep the indexes.
     """
 
     def __init__(self, duplication_threshold: int = 0):
@@ -68,6 +87,17 @@ class IntervalSet:
         self.duplication_threshold = duplication_threshold
         self._records: Dict[int, IntervalRecord] = {}
         self._next_id = 0
+        # Processing power of each requester, recorded by assign() and
+        # forgotten by release(); a holder without one counts as 1.0.
+        self._powers: Dict[WorkerId, float] = {}
+        # worker -> ids of the records it owns (never an empty set)
+        self._by_worker: Dict[WorkerId, Set[int]] = {}
+        # holder-power sum -> heap of (-length, rid, token); a record's
+        # one live entry is the one whose token matches _entry[rid].
+        self._groups: Dict[float, List[Tuple[int, int, int]]] = {}
+        self._entry: Dict[int, Tuple[float, int]] = {}
+        self._tokens = itertools.count()
+        self._heap_entries = 0
         # Table 2 counters
         self.allocations = 0
         self.splits = 0
@@ -93,7 +123,10 @@ class IntervalSet:
             raise IntervalError(f"refusing to add empty interval {interval}")
         rid = self._next_id
         self._next_id += 1
-        self._records[rid] = IntervalRecord(interval, set(owners))
+        self._records[rid] = IntervalRecord(interval, set())
+        for worker in owners:
+            self._own(rid, worker)
+        self._reindex(rid)
         return rid
 
     # ------------------------------------------------------------------
@@ -123,12 +156,19 @@ class IntervalSet:
             key=lambda iv: (iv.begin, iv.end),
         )
 
+    def interval_of(self, rid: int) -> Interval:
+        """The interval of record ``rid``."""
+        return self._records[rid].interval
+
     def record_for_worker(self, worker: WorkerId) -> Optional[int]:
-        """Id of the record ``worker`` currently owns, if any."""
-        for rid, rec in self._records.items():
-            if worker in rec.owners:
-                return rid
-        return None
+        """Id of the record ``worker`` currently owns (the oldest, if
+        a journal replay left it several), if any."""
+        rids = self._by_worker.get(worker)
+        return min(rids) if rids else None
+
+    def owners(self) -> Set[WorkerId]:
+        """Every worker that owns at least one record."""
+        return set(self._by_worker)
 
     def covered_union_length(self) -> int:
         """Length of the union of all intervals (duplicates counted once).
@@ -178,7 +218,7 @@ class IntervalSet:
             rec = self._records[rid]
             merged = rec.interval.intersect(reported)
             if merged.is_empty():
-                del self._records[rid]
+                self._delete(rid)
                 return merged
             rec.interval = merged
             return merged
@@ -193,7 +233,8 @@ class IntervalSet:
         left = Interval(rec.interval.begin, piece.begin)
         right = Interval(piece.end, rec.interval.end)
         rec.interval = piece
-        rec.owners.add(worker)
+        self._own(rid, worker)
+        self._reindex(rid)
         if not left.is_empty():
             self.add(left)
         if not right.is_empty():
@@ -213,16 +254,14 @@ class IntervalSet:
         return best
 
     def assign(
-        self,
-        requester: WorkerId,
-        requester_power: float = 1.0,
-        holder_powers: Optional[Mapping[WorkerId, float]] = None,
+        self, requester: WorkerId, requester_power: float = 1.0
     ) -> Optional[Assignment]:
         """Serve a work request: selection then partitioning (§4.2).
 
-        ``holder_powers`` maps worker ids to their processing power (a
-        missing worker counts as power 1).  Returns ``None`` when
-        INTERVALS is empty — the requester must terminate (§4.3).
+        Records ``requester_power`` as the requester's power until it
+        is released; holders are weighed by their recorded powers.
+        Returns ``None`` when INTERVALS is empty — the requester must
+        terminate (§4.3).
         """
         if requester_power < 0:
             raise IntervalError("requester power must be >= 0")
@@ -231,26 +270,8 @@ class IntervalSet:
         # A requester never splits work with itself: drop any stale
         # ownership first (it is asking because it has nothing left).
         self.release(requester)
-        if not self._records:
-            return None
-
-        def power_of(rec: IntervalRecord) -> float:
-            if not rec.owners:
-                return 0.0  # the paper's virtual null-power process
-            if holder_powers is None:
-                return float(len(rec.owners))
-            return float(sum(holder_powers.get(w, 1.0) for w in rec.owners))
-
-        best_rid = None
-        best_share = -1
-        for rid, rec in sorted(self._records.items()):
-            share = requester_share_length(
-                rec.interval, power_of(rec), requester_power
-            )
-            if share > best_share:
-                best_share = share
-                best_rid = rid
-        assert best_rid is not None
+        self._powers[requester] = requester_power
+        best_rid, holder_power = self._select(requester_power)
         rec = self._records[best_rid]
         self.allocations += 1
 
@@ -258,34 +279,40 @@ class IntervalSet:
             # Null-power virtual holder: hand the whole interval over
             # ("they are thus assigned entirely to the requesting
             # process") — never a duplication.
-            rec.owners = {requester}
+            self._own(best_rid, requester)
+            self._reindex(best_rid)
             return Assignment(rec.interval, duplicated=False)
 
         if rec.interval.length < self.duplication_threshold:
             # Duplicate: same numbers, one coordinator copy, two explorers.
-            rec.owners.add(requester)
-            self.duplications += 1
-            self.duplicated_length_assigned += rec.interval.length
-            return Assignment(rec.interval, duplicated=True)
+            return self._duplicate(best_rid, requester)
 
-        point = partition_point(rec.interval, power_of(rec), requester_power)
+        point = partition_point(rec.interval, holder_power, requester_power)
         left, right = rec.interval.split_at(point)
         if right.is_empty():
             # Degenerate split (e.g. zero requester power on a live
             # holder): fall back to duplication semantics.
-            rec.owners.add(requester)
-            self.duplications += 1
-            self.duplicated_length_assigned += rec.interval.length
-            return Assignment(rec.interval, duplicated=True)
+            return self._duplicate(best_rid, requester)
         if left.is_empty():
-            # Whole interval handed over (unassigned holder).
+            # Whole interval handed over (zero-power holders).
             rec.interval = right
-            rec.owners = {requester}
+            for worker in list(rec.owners):
+                self._disown(best_rid, worker)
+            self._own(best_rid, requester)
+            self._reindex(best_rid)
             return Assignment(right, duplicated=False)
         rec.interval = left  # holder learns of the cut at its next update
         self.add(right, owners=(requester,))
         self.splits += 1
         return Assignment(right, duplicated=False)
+
+    def _duplicate(self, rid: int, requester: WorkerId) -> Assignment:
+        rec = self._records[rid]
+        self._own(rid, requester)
+        self._reindex(rid)
+        self.duplications += 1
+        self.duplicated_length_assigned += rec.interval.length
+        return Assignment(rec.interval, duplicated=True)
 
     def subtract(self, explored: Interval) -> int:
         """Remove ``explored`` from every copy that overlaps it.
@@ -306,7 +333,7 @@ class IntervalSet:
             left = Interval(rec.interval.begin, overlap.begin)
             right = Interval(overlap.end, rec.interval.end)
             if left.is_empty() and right.is_empty():
-                del self._records[rid]
+                self._delete(rid)
             elif right.is_empty():
                 rec.interval = left
             elif left.is_empty():
@@ -317,19 +344,103 @@ class IntervalSet:
         return removed
 
     def release(self, worker: WorkerId) -> int:
-        """Detach ``worker`` from every record (death or completion).
+        """Detach ``worker`` from every record (death or completion)
+        and forget its power.
 
         Returns the number of records it was detached from.  Records it
         leaves behind stay in the set (owned by the virtual null-power
         process) until another request picks them up — this is the
         §4.1 recovery path.
         """
-        count = 0
-        for rec in self._records.values():
-            if worker in rec.owners:
-                rec.owners.discard(worker)
-                count += 1
-        return count
+        self._powers.pop(worker, None)
+        rids = sorted(self._by_worker.get(worker, ()))
+        for rid in rids:
+            self._disown(rid, worker)
+            self._reindex(rid)
+        return len(rids)
+
+    # ------------------------------------------------------------------
+    # the index
+    # ------------------------------------------------------------------
+    def _own(self, rid: int, worker: WorkerId) -> None:
+        self._records[rid].owners.add(worker)
+        self._by_worker.setdefault(worker, set()).add(rid)
+
+    def _disown(self, rid: int, worker: WorkerId) -> None:
+        self._records[rid].owners.discard(worker)
+        rids = self._by_worker[worker]
+        rids.discard(rid)
+        if not rids:
+            del self._by_worker[worker]
+
+    def _delete(self, rid: int) -> None:
+        for worker in list(self._records[rid].owners):
+            self._disown(rid, worker)
+        del self._records[rid]
+        del self._entry[rid]  # its heap entry is now stale
+
+    def _reindex(self, rid: int) -> None:
+        """File ``rid`` under its current holder-power sum.
+
+        Called whenever its owners change; any older heap entry of the
+        record goes stale.  fsum makes the key independent of the
+        owner set's iteration order.
+        """
+        rec = self._records[rid]
+        power = math.fsum(self._powers.get(w, 1.0) for w in rec.owners)
+        token = next(self._tokens)
+        self._entry[rid] = (power, token)
+        heap = self._groups.setdefault(power, [])
+        heapq.heappush(heap, (-rec.interval.length, rid, token))
+        self._heap_entries += 1
+        if self._heap_entries > _STALE_FACTOR * len(self._records) + 64:
+            self._rebuild()
+
+    def _rebuild(self) -> None:
+        """Drop every stale heap entry: one heap per live power sum."""
+        groups: Dict[float, List[Tuple[int, int, int]]] = {}
+        for rid, (power, token) in self._entry.items():
+            length = self._records[rid].interval.length
+            groups.setdefault(power, []).append((-length, rid, token))
+        for heap in groups.values():
+            heapq.heapify(heap)
+        self._groups = groups
+        self._heap_entries = len(self._entry)
+
+    def _select(self, requester_power: float) -> Tuple[int, float]:
+        """The record giving the requester the longest share, ties to
+        the lowest id, and its holder-power sum.  Requires a record."""
+        best_rid = -1
+        best_share = -1
+        best_power = 0.0
+        for power, heap in list(self._groups.items()):
+            taken: List[Tuple[int, int, int]] = []
+            while heap:
+                neg_length, rid, token = heap[0]
+                entry = self._entry.get(rid)
+                if entry is None or entry[1] != token:
+                    heapq.heappop(heap)  # stale: record gone or refiled
+                    self._heap_entries -= 1
+                    continue
+                rec = self._records[rid]
+                if rec.interval.length != -neg_length:
+                    # shrank since filed: re-key, then look again
+                    heapq.heapreplace(heap, (-rec.interval.length, rid, token))
+                    continue
+                # The top is exact and no other record of this group is
+                # longer, so no later one has a larger share.
+                share = requester_share_length(rec.interval, power, requester_power)
+                if share < best_share:
+                    break
+                if share > best_share or rid < best_rid:
+                    best_rid, best_share, best_power = rid, share, power
+                taken.append(heapq.heappop(heap))
+            for item in taken:
+                heapq.heappush(heap, item)
+            if not heap:
+                del self._groups[power]
+        assert best_rid >= 0
+        return best_rid, best_power
 
     # ------------------------------------------------------------------
     # checkpoint payloads (§4.1 — the INTERVALS file)

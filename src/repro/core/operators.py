@@ -11,12 +11,14 @@ null power", so ``C == A`` and the requester gets everything.
 
 *Selection* does not pick the longest interval but the one that yields
 the longest requester share ``[C, B)`` — the paper is explicit about
-this distinction.
+this distinction.  :func:`select_for_request` is the plain scan over
+every candidate; ``IntervalSet`` answers the same question from an
+index, and the property tests hold it to this reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple, TypeVar
+from typing import Iterable, Optional, Tuple, TypeVar
 
 from repro.core.interval import Interval
 
@@ -42,11 +44,14 @@ def partition_point(
     total = holder_power + requester_power
     if total == 0 or holder_power == 0:
         return interval.begin
-    keep = (interval.length * holder_power) // total if isinstance(
-        holder_power, int
-    ) and isinstance(requester_power, int) else int(
-        interval.length * (holder_power / total)
-    )
+    if isinstance(holder_power, int) and isinstance(requester_power, int):
+        keep = (interval.length * holder_power) // total
+    else:
+        # The float ratio is exact as a fraction num/den, so the product
+        # stays a bignum: no rounding of 50!-scale endpoints, no overflow
+        # past 2**1024, and the share is nondecreasing in the length.
+        num, den = float(holder_power / total).as_integer_ratio()
+        keep = interval.length * num // den
     return interval.begin + keep
 
 
@@ -73,15 +78,13 @@ def select_for_request(
     Returns
     -------
     The key of the best candidate, or ``None`` when there are none.
-    Ties break on the smallest key for determinism.
+    Ties go to the first candidate in iteration order.
     """
     best_key: Optional[K] = None
     best_share = -1
     for key, interval, holder_power in candidates:
         share = requester_share_length(interval, holder_power, requester_power)
-        if share > best_share or (
-            share == best_share and best_key is not None and repr(key) < repr(best_key)
-        ):
+        if share > best_share:
             best_share = share
             best_key = key
     return best_key

@@ -11,7 +11,7 @@ simulator uses: :class:`~repro.core.interval_set.IntervalSet`,
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Set, Union
 
 from repro.core.checkpoint import CheckpointStore
 from repro.core.interval import Interval
@@ -73,7 +73,6 @@ class Coordinator:
         self.journal_replayed = 0
         self.journal_leaves_replayed = 0
         self._last_checkpoint = time.monotonic()
-        self._powers: Dict[str, float] = {}
         # At-least-once RPC state: per-worker highest seq seen and the
         # reply it produced, so retries and channel duplicates are
         # answered idempotently instead of re-applied.
@@ -172,11 +171,10 @@ class Coordinator:
         )
 
     def _on_request(self, msg: Request) -> Union[GrantWork, Terminate]:
-        self._powers[msg.worker] = msg.power
         if self.intervals.is_empty():
             self.terminated = True
             return Terminate(self.solution.cost)
-        assignment = self.intervals.assign(msg.worker, msg.power, self._powers)
+        assignment = self.intervals.assign(msg.worker, msg.power)
         if assignment is None:
             self.terminated = True
             return Terminate(self.solution.cost)
@@ -194,7 +192,7 @@ class Coordinator:
             # that work, costing redundancy, never loss.
             rid = self.intervals.record_for_worker(msg.worker)
             if rid is not None:
-                owned = self.intervals.records()[rid].interval
+                owned = self.intervals.interval_of(rid)
                 cut = min(max(reported.begin, owned.begin), owned.end)
                 explored = Interval(owned.begin, cut)
         merged = self.intervals.update(msg.worker, reported)
@@ -228,7 +226,6 @@ class Coordinator:
         deduplicated; only the lease clock restarts.
         """
         self.intervals.release(worker)
-        self._powers.pop(worker, None)
         self._last_heard.pop(worker, None)
 
     def check_leases(self, now: Optional[float] = None) -> List[str]:
@@ -243,9 +240,7 @@ class Coordinator:
             return []
         if now is None:
             now = time.monotonic()
-        owners: set = set()
-        for rec in self.intervals.records().values():
-            owners |= rec.owners
+        owners: Set[Any] = self.intervals.owners()  # worker ids are str here
         expired: List[str] = []
         for worker in sorted(owners, key=str):
             heard = self._last_heard.get(worker)

@@ -414,10 +414,7 @@ class SolveService:
 
     @staticmethod
     def _active_workers(coordinator: Coordinator) -> int:
-        owners: Set[str] = set()
-        for rec in coordinator.intervals.records().values():
-            owners |= rec.owners
-        return len(owners)
+        return len(coordinator.intervals.owners())
 
     # -- clients -------------------------------------------------------
     def _on_client(self, msg: Any, handler: Any) -> Any:

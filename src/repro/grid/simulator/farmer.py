@@ -74,7 +74,6 @@ class SimFarmer:
         self.down = False
         self._epoch = 0  # bumped on crash: stale queued work is dropped
         self._next_free = 0.0
-        self._worker_powers: Dict[str, float] = {}
         self._last_contact: Dict[str, float] = {}
         # checkpoint snapshots: the "two files"
         self._intervals_snapshot = self.intervals.to_payload()
@@ -105,7 +104,6 @@ class SimFarmer:
             self._intervals_snapshot, self.config.duplication_threshold
         )
         self.solution = self._solution_snapshot.copy()
-        self._worker_powers.clear()
         self._last_contact.clear()
         self._next_free = self.clock.now
 
@@ -187,14 +185,11 @@ class SimFarmer:
         self._solution_snapshot = self.solution.copy()
 
     def _on_work_request(self, msg: WorkRequest) -> WorkReply:
-        self._worker_powers[msg.worker] = msg.power
         self._last_contact[msg.worker] = self.clock.now
         if self.intervals.is_empty():
             self._mark_terminated()
             return WorkReply(None, self.solution.cost, terminate=True)
-        assignment = self.intervals.assign(
-            msg.worker, msg.power, self._worker_powers
-        )
+        assignment = self.intervals.assign(msg.worker, msg.power)
         if assignment is None:
             self._mark_terminated()
             return WorkReply(None, self.solution.cost, terminate=True)

@@ -76,6 +76,7 @@ class SimWorker:
         self._in_session = False
         self._session_started = 0.0
         self._leave_time = 0.0
+        self._slice_end = 0.0  # when the last slice charged as busy ends
         self._unit: Optional[WorkUnit] = None
         self._terminated = False
         self._seq = itertools.count()
@@ -125,12 +126,21 @@ class SimWorker:
         )
 
     def flush_accounting(self) -> None:
-        """Account the in-progress session (simulation ended mid-run)."""
+        """Account the in-progress session (simulation ended mid-run).
+
+        A slice is charged as busy in full when it starts; the part of
+        an in-flight slice past ``now`` lies outside the available time
+        counted here, so it is taken back.
+        """
         if self._in_session:
             self.metrics.add_available(
                 self.id, self.clock.now - self._session_started
             )
             self._session_started = self.clock.now
+        overrun = self._slice_end - self.clock.now
+        if overrun > 0:
+            self.metrics.add_busy(self.id, -overrun)
+            self._slice_end = self.clock.now
 
     # ------------------------------------------------------------------
     # messaging (pull model with optional retry)
@@ -200,6 +210,7 @@ class SimWorker:
             return  # the leave event will fire at this instant
         report = self._unit.advance(budget, self.power)
         self.metrics.add_busy(self.id, report.elapsed)
+        self._slice_end = self.clock.now + report.elapsed
         self.metrics.add_exploration(report.nodes, report.consumed)
         # The slice conceptually occupies [now, now + elapsed].
         self.clock.schedule(report.elapsed, self._after_slice, report, self._epoch)

@@ -1,8 +1,12 @@
 """Tests for the coordinator's INTERVALS set (paper §4.1–§4.3)."""
 
+import math
+
 import pytest
 
+import repro.core.interval_set as interval_set_module
 from repro.core import Interval, IntervalSet
+from repro.core.operators import select_for_request
 from repro.exceptions import IntervalError
 
 
@@ -46,7 +50,7 @@ class TestAssignment:
     def test_split_proportional_to_power(self):
         s = fresh(1000)
         s.assign("w1", requester_power=1.0)
-        a = s.assign("w2", requester_power=3.0, holder_powers={"w1": 1.0})
+        a = s.assign("w2", requester_power=3.0)
         # holder keeps 1/4, requester takes 3/4
         assert a.interval == Interval(250, 1000)
 
@@ -55,9 +59,10 @@ class TestAssignment:
         # shorter unassigned one. The unassigned one gives the larger
         # share and must be selected.
         s = IntervalSet()
-        s.add(Interval(0, 1000), owners=("strong",))
+        s.add(Interval(0, 1000))
+        s.assign("strong", requester_power=9.0)
         s.add(Interval(2000, 2600))
-        a = s.assign("w2", requester_power=1.0, holder_powers={"strong": 9.0})
+        a = s.assign("w2", requester_power=1.0)
         # splitting the held interval would yield 1000/10 = 100 numbers;
         # taking the orphan yields 600.
         assert a.interval == Interval(2000, 2600)
@@ -79,6 +84,91 @@ class TestAssignment:
         s.assign("w1")
         s.assign("w2")
         assert s.allocations == 2
+
+    def test_root_past_float_range_splits(self):
+        # 171! > 2**1024: a float product of the length overflows.
+        root = Interval(0, math.factorial(171))
+        s = IntervalSet.initial(root)
+        s.assign("w1")
+        a = s.assign("w2", requester_power=3.0)
+        assert a.interval == Interval(root.end // 4, root.end)
+        assert s.size == root.length
+
+    def test_powers_are_remembered_until_release(self):
+        s = fresh(1000)
+        s.assign("w1", requester_power=3.0)
+        assert s.assign("w2").interval == Interval(750, 1000)
+        s.release("w1")
+        s.update("w1", Interval(0, 750))  # reclaim: no power, counts 1.0
+        assert s.assign("w3").interval == Interval(375, 750)
+
+
+class TestIndex:
+    def test_equal_shares_across_powers_go_to_lowest_id(self):
+        s = IntervalSet()
+        s.add(Interval(0, 100))
+        s.add(Interval(1000, 1050))
+        s.assign("w1")  # takes [0, 100) whole
+        # splitting w1's copy and taking the orphan both give 50
+        assert s.assign("w2").interval == Interval(50, 100)
+
+    def test_shrunk_record_does_not_hide_a_longer_one(self):
+        s = IntervalSet()
+        s.add(Interval(5000, 5020))  # orphan, share 20
+        s.add(Interval(0, 100))
+        s.add(Interval(1000, 1060))
+        s.assign("w1")  # [0, 100)
+        s.assign("w2")  # [1000, 1060)
+        s.update("w1", Interval(90, 100))  # filed at 100, now 10 long
+        assert s.assign("w3").interval == Interval(1030, 1060)
+
+    def test_heaps_stay_bounded_under_ownership_churn(self):
+        # Every ownership change files a fresh heap entry; rebuilds drop
+        # the stale ones, and selection stays exact throughout.
+        s = fresh(10**6)
+        powers = {}
+        for i in range(600):
+            worker, power = f"w{i % 4}", 1.0 + i % 5
+            powers.pop(worker, None)
+            candidates = [
+                (rid, rec.interval,
+                 math.fsum(powers.get(w, 1.0) for w in rec.owners - {worker}))
+                for rid, rec in sorted(s.records().items())
+            ]
+            chosen = s.interval_of(select_for_request(candidates, power))
+            a = s.assign(worker, requester_power=power)
+            powers[worker] = power
+            assert a.interval.end == chosen.end
+            s.update(worker, Interval(a.interval.begin + 1, a.interval.end))
+            assert s._heap_entries <= 2 * s.cardinality + 64
+        assert s.size == 10**6 - 600
+
+    def test_assign_cost_independent_of_record_count(self, monkeypatch):
+        # 5,000 owned records over 12 holder powers: a request must
+        # look at a few records per power, not scan all of them.
+        s = IntervalSet()
+        for i in range(5000):
+            s.add(Interval(i * 10**6, i * 10**6 + 10**5 + 7 * i % 1009))
+        for i in range(5000):
+            s.assign(f"w{i}", requester_power=0.5 * (1 + i % 12))
+        assert s.owners() == {f"w{i}" for i in range(5000)}
+        candidates = [
+            (rid, rec.interval, 0.5 * (1 + int(next(iter(rec.owners))[1:]) % 12))
+            for rid, rec in sorted(s.records().items())
+        ]
+        chosen = s.interval_of(select_for_request(candidates, 1.0))
+
+        calls = []
+        share = interval_set_module.requester_share_length
+
+        def counted(*args):
+            calls.append(args)
+            return share(*args)
+
+        monkeypatch.setattr(interval_set_module, "requester_share_length", counted)
+        a = s.assign("new", requester_power=1.0)
+        assert 0 < len(calls) <= 64
+        assert a.interval.end == chosen.end
 
 
 class TestDuplication:

@@ -1,6 +1,10 @@
 """Tests for the partitioning and selection policy functions (§4.2)."""
 
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core import Interval
 from repro.core.operators import (
@@ -30,6 +34,24 @@ class TestPartitionPoint:
         huge = 10**30
         c = partition_point(Interval(0, huge), 1, 3)
         assert c == huge // 4
+
+    def test_float_powers_split_bignums_exactly(self):
+        # No float product: the kept part is floor(length * ratio) for
+        # the float ratio's exact value, also past 2**53 and 2**1024.
+        for length in (math.factorial(50), math.factorial(171)):
+            num, den = (1.0 / 3.0).as_integer_ratio()
+            assert partition_point(Interval(0, length), 1.0, 2.0) == length * num // den
+
+    @given(
+        st.integers(0, 2**80),
+        st.sampled_from((0.0, 0.5, 1.0, 2.1, 9.0)),
+        st.sampled_from((0.0, 0.3, 1.0, 2.0, 4.2)),
+    )
+    def test_share_nondecreasing_in_length(self, length, holder, requester):
+        # The INTERVALS index relies on this for a fixed holder power.
+        shorter = requester_share_length(Interval(5, 5 + length), holder, requester)
+        longer = requester_share_length(Interval(5, 6 + length), holder, requester)
+        assert shorter <= longer
 
     def test_negative_power_rejected(self):
         with pytest.raises(ValueError):
@@ -69,3 +91,7 @@ class TestSelection:
 
     def test_single_candidate(self):
         assert select_for_request([("only", Interval(0, 10), 1.0)], 1.0) == "only"
+
+    def test_ties_go_to_the_first_candidate(self):
+        candidates = [(9, Interval(0, 10), 1.0), (10, Interval(20, 30), 1.0)]
+        assert select_for_request(candidates, 1.0) == 9

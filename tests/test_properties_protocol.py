@@ -7,12 +7,14 @@ inputs.
 """
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Interval, IntervalSet
+from repro.core.operators import partition_point, select_for_request
 from repro.problems.flowshop import (
     BoundData,
     FlowShopInstance,
@@ -89,6 +91,116 @@ class TestIntervalSetProperties:
                     break
                 s.update(f"w{k}", Interval(a.interval.end, a.interval.end))
         assert s.size == 0
+
+
+# ----------------------------------------------------------------------
+# the INTERVALS index against a linear scan
+# ----------------------------------------------------------------------
+POWERS = (0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 7.0)
+WORKERS = 6
+
+index_ops = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("assign"), st.integers(0, WORKERS - 1), st.sampled_from(POWERS)
+        ),
+        st.tuples(st.just("update"), st.integers(0, WORKERS - 1), st.integers(0, 8)),
+        st.tuples(st.just("release"), st.integers(0, WORKERS - 1)),
+        st.tuples(st.just("subtract"), st.integers(0, 63), st.integers(1, 16)),
+        st.tuples(st.just("recover")),
+    ),
+    max_size=60,
+)
+
+
+def union_length(intervals):
+    total, end = 0, None
+    for iv in sorted(iv for iv in intervals if not iv.is_empty()):
+        if end is None or iv.begin > end:
+            total += iv.length
+            end = iv.end
+        elif iv.end > end:
+            total += iv.end - end
+            end = iv.end
+    return total
+
+
+class TestIntervalIndexAgainstScan:
+    @given(
+        index_ops,
+        st.sampled_from((64, 1000, 10**6, math.factorial(50))),
+        st.sampled_from((0, 1, 50, 10**5)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_indexed_state_matches_linear_scan(self, operations, total, threshold):
+        s = IntervalSet.initial(Interval(0, total), threshold)
+        powers = {}  # what the set must remember: worker -> power
+        views = {}  # each worker's own idea of its interval
+        explored = []
+
+        for op in operations:
+            covered = s.covered_union_length()
+            if op[0] == "assign":
+                worker, power = f"w{op[1]}", op[2]
+                # the oracle sees the state after the requester's release
+                powers.pop(worker, None)
+                candidates = []
+                for rid, rec in sorted(s.records().items()):
+                    holders = rec.owners - {worker}
+                    hp = math.fsum(powers.get(w, 1.0) for w in holders)
+                    candidates.append((rid, rec.interval, hp))
+                best = select_for_request(candidates, power)
+                a = s.assign(worker, power)
+                powers[worker] = power
+                if best is None:
+                    assert a is None
+                    continue
+                _, iv, hp = next(c for c in candidates if c[0] == best)
+                expected = iv
+                if hp > 0 and iv.length >= threshold:
+                    point = partition_point(iv, hp, power)
+                    if point < iv.end:
+                        expected = Interval(point, iv.end)
+                assert a.interval == expected
+                views[worker] = a.interval
+                assert s.covered_union_length() == covered
+            elif op[0] == "update":
+                worker = f"w{op[1]}"
+                view = views.get(worker)
+                if view is None:
+                    continue
+                reported = Interval(view.begin + view.length * op[2] // 8, view.end)
+                rid = s.record_for_worker(worker)
+                if rid is not None:
+                    owned = s.interval_of(rid)
+                    cut = min(max(reported.begin, owned.begin), owned.end)
+                    explored.append(Interval(owned.begin, cut))
+                merged = s.update(worker, reported)
+                views[worker] = None if merged.is_empty() else merged
+            elif op[0] == "release":
+                worker = f"w{op[1]}"
+                s.release(worker)
+                powers.pop(worker, None)
+                views[worker] = None
+                assert s.covered_union_length() == covered
+            elif op[0] == "subtract":
+                begin = total * op[1] // 64
+                done = Interval(begin, min(total, begin + total * op[2] // 64))
+                s.subtract(done)
+                explored.append(done)
+            else:  # farmer recovery: ownership and powers are lost
+                s = IntervalSet.from_payload(s.to_payload(), threshold)
+                powers.clear()
+
+            records = s.records()
+            for k in range(WORKERS):
+                worker = f"w{k}"
+                owned = [rid for rid, rec in records.items() if worker in rec.owners]
+                assert s.record_for_worker(worker) == (min(owned) if owned else None)
+            assert s.owners() == set().union(*(r.owners for r in records.values()))
+            # no lost work: every number is explored or still covered
+            live = [rec.interval for rec in records.values()]
+            assert union_length(live + explored) == total
 
 
 # ----------------------------------------------------------------------

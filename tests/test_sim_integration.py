@@ -12,9 +12,12 @@ import pytest
 from repro.core import Interval, solve
 from repro.grid.simulator import (
     AvailabilityModel,
+    ClusterSpec,
     FarmerConfig,
     FarmerFailurePlan,
     GridSimulation,
+    HostSpec,
+    PlatformSpec,
     RealBBWorkload,
     SimulationConfig,
     SyntheticWorkload,
@@ -161,6 +164,28 @@ class TestSyntheticGrid:
         counts = [n for _, n in report.series]
         assert max(counts) <= 8
         assert max(counts) >= 1
+
+    def test_run_stopped_mid_slice_charges_only_elapsed_busy_time(self):
+        # The slow worker duplicates the fast one's interval and is
+        # still inside its one long slice (20x the run) when the fast
+        # worker's last update ends the run: only the part up to the
+        # stop is busy time, so no worker is busier than available.
+        hosts = [
+            HostSpec("c/fast", "c", 10.0, True),
+            HostSpec("c/slow", "c", 0.5, True),
+        ]
+        sim = GridSimulation(synthetic_config(
+            platform=PlatformSpec(clusters=[ClusterSpec("c", "test", hosts)]),
+            farmer=FarmerConfig(duplication_threshold=10**8 + 1),
+            worker=WorkerConfig(update_period=1e6),
+        ))
+        report = sim.run()
+        assert report.finished
+        metrics = sim.metrics
+        assert set(metrics.worker_busy) == {"c/fast", "c/slow"}
+        for worker, busy in metrics.worker_busy.items():
+            assert 0 < busy <= metrics.worker_available[worker]
+        assert 0.99 < report.table2.worker_exploitation <= 1.0
 
 
 class TestFarmerFailure:
