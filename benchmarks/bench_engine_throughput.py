@@ -1,17 +1,19 @@
 """Engine throughput — frontier strategies and pool-kernel backends.
 
-PR 2's tentpole restructured the exploration hot path around
-``Problem.bound_children``: at decomposition time the engine bounds all
-siblings in one vectorised kernel call and prunes before pushing.  PR 7
-added a pluggable bound-kernel backend (``repro.core.kernels``) that
-bounds a whole *pool* of same-depth frontier entries per call.  PR 8
-closes the loop: the ``frontier="wave"`` exploration order accumulates
-up to ``pool_size`` same-depth nodes per kernel call instead of
-scavenging whatever a thin DFS stack happens to hold.
+The engine bounds children through one route: a pluggable bound-kernel
+backend (``repro.core.kernels``) that bounds the children of a whole
+*pool* of same-depth frontier entries per call and prunes before
+pushing; ``kernel_backend="off"`` bounds every node with a scalar
+``lower_bound`` call instead (the reference path).  The
+``frontier="wave"`` exploration order accumulates up to ``pool_size``
+same-depth nodes per kernel call instead of scavenging whatever a thin
+DFS stack happens to hold.
 
 This benchmark solves 20-job flow-shop instances with every available
-path — scalar, per-family batched, pooled-DFS numpy, wave-frontier
-numpy, and (when installed) the numba / cupy variants of both —
+path — scalar (``kernel_backend="off"``), per-family batched (the numpy
+backend at ``pool_size=1``: the 2-D ``*_children`` kernels, one family
+per call), pooled-DFS numpy, wave-frontier numpy, and (when installed)
+the numba variants of both —
 asserts that the DFS paths agree **exactly** (same optimum,
 byte-identical ``ExplorationStats``) and that wave mode reaches the
 identical optimum with the identical proof (node counts legitimately
@@ -28,7 +30,7 @@ wave sweep shows what filling the pool is worth end-to-end; the
 ``kernel_pools`` section additionally measures the kernels in
 isolation — families/sec of one pooled evaluation over N parents vs N
 per-family calls — which is the regime grid-scale frontiers (and the
-numba/cupy backends) actually run in.
+numba backend) actually run in.
 
 Run it via ``make bench-engine`` (``QUICK=1`` for the smoke scale) or
 directly::
@@ -92,7 +94,7 @@ PR7_BASELINE = REPO_ROOT / "BENCH_PR7.json"
 # Optional-dependency backends: timed when importable, recorded as
 # unavailable (with the reason) when not — forcing them anyway would
 # just measure the numpy fallback under a misleading label.
-OPTIONAL_BACKENDS = ("numba", "cupy")
+OPTIONAL_BACKENDS = ("numba",)
 
 
 def _configs(quick: bool) -> List[Dict[str, Any]]:
@@ -317,7 +319,7 @@ def kernel_pool_benchmark(
     they sit in different regimes: at P <= 20 pairs the per-call fixed
     overhead dominates and pooling amortises it away; at O(M^2) pairs
     the kernels are memory-bound and pooling is a wash — the regime
-    the compiled (numba/cupy) backends exist for.
+    the compiled (numba) backend exists for.
     """
     if quick:
         instance = random_instance(10, 5, seed=2)
@@ -383,8 +385,10 @@ def run_benchmark(quick: bool = False, repeats: int = 3) -> Dict[str, Any]:
 
     records = []
     for config in _configs(quick):
-        scalar_s, scalar_r = _run_one(config, repeats, batched_bounds=False)
-        batched_s, batched_r = _run_one(config, repeats, kernel_backend="off")
+        scalar_s, scalar_r = _run_one(config, repeats, kernel_backend="off")
+        batched_s, batched_r = _run_one(
+            config, repeats, kernel_backend="numpy", pool_size=1
+        )
         pooled_s, pooled_r = _run_one(config, repeats, kernel_backend="numpy")
         _assert_identical(config["name"], "batched", scalar_r, batched_r)
         _assert_identical(config["name"], "pooled-numpy", scalar_r, pooled_r)

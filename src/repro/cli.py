@@ -38,9 +38,9 @@ def _positive_int(text: str) -> int:
     """argparse type: an integer >= 1, rejected with a clear message.
 
     Guards the engine-bound size knobs (``--pool-size``,
-    ``--frontier-width``, ``--pool-scan-budget``) at the parser, so a
-    bad value dies as a usage error instead of an ``EngineError``
-    traceback out of a worker process.
+    ``--frontier-width``) at the parser, so a bad value dies as a usage
+    error instead of an ``EngineError`` traceback out of a worker
+    process.
     """
     try:
         value = int(text)
@@ -59,24 +59,17 @@ def _add_kernel_arguments(parser: argparse.ArgumentParser) -> None:
     """The pool-evaluation kernel knobs shared by solve/worker/fleet."""
     parser.add_argument(
         "--kernel-backend",
-        choices=["auto", "off", "numpy", "numba", "cupy"],
+        choices=["auto", "off", "numpy", "numba"],
         default="auto",
         help="bound-kernel backend for pool evaluation: 'auto' uses a "
-             "registered pool kernel when one exists, 'off' keeps "
-             "per-family batched bounds only, a name forces that "
-             "backend (numba/cupy fall back to numpy with a warning "
-             "when the dependency is missing)",
+             "registered pool kernel when one exists, 'off' is scalar "
+             "per-node lower_bound (the reference path), a name forces "
+             "that backend (numba falls back to numpy with a warning "
+             "when it is missing)",
     )
     parser.add_argument(
         "--pool-size", type=_positive_int, default=64,
         help="frontier entries bounded per pool evaluation",
-    )
-    parser.add_argument(
-        "--pool-scan-budget", type=_positive_int, default=None,
-        help="stack entries one DFS pool refill may inspect while "
-             "gathering same-depth candidates (default: "
-             "max(4 * pool size, 64); ignored in wave mode, where the "
-             "wave itself is the pool)",
     )
     parser.add_argument(
         "--frontier",
@@ -407,7 +400,6 @@ def _cmd_solve(args) -> int:
                 initial_solution=warm,
                 kernel_backend=_kernel_backend_arg(args),
                 pool_size=args.pool_size,
-                pool_scan_budget=args.pool_scan_budget,
                 frontier=args.frontier,
                 frontier_width=args.frontier_width,
             ),
@@ -430,7 +422,6 @@ def _cmd_solve(args) -> int:
             initial_solution=warm,
             kernel_backend=_kernel_backend_arg(args),
             pool_size=args.pool_size,
-            pool_scan_budget=args.pool_scan_budget,
             frontier=args.frontier,
             frontier_width=args.frontier_width,
         )
@@ -447,7 +438,6 @@ def _cmd_solve(args) -> int:
             initial_solution=warm,
             kernel_backend=_kernel_backend_arg(args),
             pool_size=args.pool_size,
-            pool_scan_budget=args.pool_scan_budget,
             frontier=args.frontier,
             frontier_width=args.frontier_width,
         )
@@ -809,7 +799,6 @@ def _cmd_grid_worker(args) -> int:
         backoff_cap=args.backoff_cap,
         kernel_backend=_kernel_backend_arg(args),
         pool_size=args.pool_size,
-        pool_scan_budget=args.pool_scan_budget,
         frontier=args.frontier,
         frontier_width=args.frontier_width,
     )
@@ -843,8 +832,6 @@ def _cmd_grid_fleet(args) -> int:
             "--frontier", args.frontier,
             "--frontier-width", str(args.frontier_width),
         ]
-        if args.pool_scan_budget is not None:
-            argv += ["--pool-scan-budget", str(args.pool_scan_budget)]
         if args.peer_timeout is not None:
             argv += ["--peer-timeout", str(args.peer_timeout)]
         if args.max_reconnect_attempts is not None:

@@ -9,7 +9,8 @@ message handling — and at every pause its frontier folds back to the
 remaining interval (``[position, B)``), which is what gets sent to the
 coordinator for checkpointing (§4.1).
 
-Correspondence with the paper's four operators (§2):
+Correspondence with the paper's four operators (§2), all applied by
+one loop, :meth:`IntervalExplorer.step`:
 
 * **selection** — two strategies over one number-sorted stack.  The
   default (``frontier="dfs"``) is the paper's: the smallest node
@@ -23,17 +24,16 @@ Correspondence with the paper's four operators (§2):
   fold is still the two integers ``[top, B)`` (see
   :meth:`IntervalExplorer.remaining_interval`);
 * **branching** — delegated to :meth:`Problem.branch`;
-* **bounding** — delegated to :meth:`Problem.lower_bound`, or, when a
-  problem implements :meth:`Problem.bound_children`, evaluated for all
-  siblings at once at decomposition time (the batched-kernel structure
-  of the GPU-B&B follow-on work); with a pool kernel backend
-  (:mod:`repro.core.kernels`) the engine goes further and bounds the
-  children of a whole *pool* of same-depth frontier nodes in one
-  backend call.  Bounds never depend on the incumbent, so evaluating
-  them ahead of DFS order is semantically invisible: cached bounds are
-  re-checked against the *current* incumbent when a node is popped,
-  and the explored / pruned / decomposed / bound-evaluation totals are
-  identical to the per-node path on every backend;
+* **bounding** — two sources only.  When the problem registered a pool
+  kernel (:mod:`repro.core.kernels`), the children of a whole *pool*
+  of same-depth frontier nodes are bounded in one backend call (the
+  GPU-B&B structure of Melab et al.); otherwise, or with
+  ``kernel_backend="off"``, :meth:`Problem.lower_bound` runs lazily
+  when a node is popped.  Bounds never depend on the incumbent, so
+  evaluating them ahead of DFS order is semantically invisible: cached
+  bounds are re-checked against the *current* incumbent, and on the
+  DFS frontier the explored / pruned / decomposed / bound-evaluation
+  totals are identical on every backend;
 * **elimination** — a node is eliminated when its bound reaches the
   incumbent cost *or* when its number falls outside the owned interval
   (the eq. 12 rule that makes work units independent).
@@ -101,14 +101,14 @@ class SolveResult:
 class _Entry:
     """One frontier node on the DFS stack.
 
-    ``bound`` caches the node's lower bound when it was computed by a
-    batched :meth:`Problem.bound_children` call at decomposition time
-    (``None`` on the per-node path); the bound of a node never depends
-    on the incumbent, so the cached value stays valid and only the
-    prune *comparison* is deferred to pop time.  ``child_bounds``
-    likewise caches the bounds of this entry's children when a pool
-    kernel evaluated them ahead of the pop (bound-ahead speculation —
-    again incumbent-free, so always valid once computed).
+    ``bound`` caches the node's lower bound when the pool evaluator
+    computed it with its siblings' (``None`` until then: the node is
+    bounded lazily when popped); the bound of a node never depends on
+    the incumbent, so the cached value stays valid and only the prune
+    *comparison* is deferred to pop time.  ``child_bounds`` caches the
+    bounds of this entry's children once a pool call evaluated them,
+    possibly ahead of the pop (bound-ahead speculation — again
+    incumbent-free, so always valid once computed).
     """
 
     __slots__ = ("ranks", "state", "number", "bound", "child_bounds")
@@ -144,12 +144,6 @@ class IntervalExplorer:
     on_improvement:
         Called ``(cost, solution)`` whenever the local best improves
         (sharing rule 2: "immediately informs the coordinator").
-    batched_bounds:
-        ``None`` (default) uses :meth:`Problem.bound_children` whenever
-        the problem overrides it; ``False`` forces the per-node path
-        (the scalar baseline the throughput benchmark compares
-        against); ``True`` forces batch calls even on problems that
-        may return ``None`` (harmless — each ``None`` falls back).
     bound_provider:
         Optional zero-arg callable returning an advisory global upper
         bound (e.g. a shared-memory incumbent).  Polled every
@@ -159,17 +153,17 @@ class IntervalExplorer:
         rule 3, §4.4, without the round-trip).  The provider carries a
         cost only — adopting it never installs a solution.
     bound_poll_nodes:
-        How many nodes to explore between provider polls (default 256;
-        ignored without a provider).
+        How many processed nodes between provider polls (default 256;
+        ignored without a provider).  A wave polls at most once, before
+        it starts.
     kernel_backend:
         Pool bound-kernel backend (:mod:`repro.core.kernels`).
         ``None`` (auto, the default) pools with the ``numpy`` backend
         whenever the problem registered pooled kernels; ``"off"``
-        disables pooling (the plain PR 2 batched path); ``"numpy"`` /
-        ``"numba"`` / ``"cupy"`` select a backend explicitly (optional
-        backends degrade to numpy with a one-time warning when their
-        dependency is missing).  Ignored when ``batched_bounds=False``
-        — the scalar path is the oracle and stays pure.
+        bounds every node with a scalar :meth:`Problem.lower_bound`
+        call when it is popped (the reference path); ``"numpy"`` /
+        ``"numba"`` select a backend explicitly (numba degrades to
+        numpy with a one-time warning when it is missing).
     pool_size:
         Maximum number of frontier nodes bounded per pool call
         (default 64).  On the DFS frontier, pooling only *reorders
@@ -177,15 +171,6 @@ class IntervalExplorer:
         pruned or counted — so any value >= 1 yields identical
         results and stats.  On the wave frontier it is also the wave
         width: how many decomposable parents one wave accumulates.
-    pool_scan_budget:
-        How many stack entries one DFS pool refill may inspect while
-        gathering same-depth candidates (see :meth:`_pool_fill`).
-        ``None`` (default) uses ``max(4 * pool_size, 64)`` — enough to
-        skip past a few interleaved depths without turning every
-        refill into an O(stack) scan.  Raising it widens DFS pools on
-        deep, interleaved frontiers at O(budget) scan cost per refill;
-        the wave frontier does not scan at all (the wave itself is the
-        pool), so this knob is DFS-only.
     frontier:
         ``"dfs"`` (default) explores strictly smallest-number-first —
         the paper's order, byte-identical stats across every backend.
@@ -213,34 +198,17 @@ class IntervalExplorer:
         *,
         incumbent: Optional[Incumbent] = None,
         on_improvement: Optional[ImprovementCallback] = None,
-        batched_bounds: Optional[bool] = None,
         bound_provider: Optional[Callable[[], float]] = None,
         bound_poll_nodes: int = 256,
         kernel_backend: Optional[str] = None,
         pool_size: int = 64,
-        pool_scan_budget: Optional[int] = None,
         frontier: str = "dfs",
         frontier_width: int = 32768,
     ):
         self.problem = problem
-        if batched_bounds is None:
-            batched_bounds = (
-                type(problem).bound_children is not Problem.bound_children
-            )
-        self._batched_bounds = bool(batched_bounds)
         if pool_size < 1:
             raise EngineError("pool_size must be >= 1")
         self.pool_size = pool_size
-        # How many stack entries one refill may inspect: bounded so a
-        # deep frontier does not turn every pool fill into an O(stack)
-        # scan when few candidates qualify.
-        if pool_scan_budget is not None and pool_scan_budget < 1:
-            raise EngineError("pool_scan_budget must be >= 1 (or None)")
-        self._pool_scan = (
-            pool_scan_budget
-            if pool_scan_budget is not None
-            else max(4 * pool_size, 64)
-        )
         if frontier not in FRONTIER_CHOICES:
             raise EngineError(
                 f"unknown frontier {frontier!r} "
@@ -257,10 +225,8 @@ class IntervalExplorer:
         #: that bounded that many parents at once (every backend call
         #: is recorded, on both frontiers).
         self.pool_occupancy: Dict[int, int] = {}
-        self._pool_evaluator: Optional[PoolEvaluator] = (
-            pool_evaluator_for(problem, kernel_backend)
-            if self._batched_bounds
-            else None
+        self._pool_evaluator: Optional[PoolEvaluator] = pool_evaluator_for(
+            problem, kernel_backend
         )
         self.shape: TreeShape = problem.tree_shape()
         self._weights = self.shape.weights()
@@ -409,181 +375,193 @@ class IntervalExplorer:
 
         One "node" is one frontier entry taken off the stack, matching
         the paper's explored-node accounting (pruned, decomposed and
-        leaf nodes all count).  On the batched path, children pruned at
-        decomposition time (they never reach the stack) also count —
-        they are the same nodes the per-node path would pop and prune —
-        so a step may overshoot ``max_nodes`` by at most one family of
-        siblings (one wave plus its children in wave mode).
+        leaf nodes all count).  Children pruned on their cached bound
+        before they reach the stack also count — they are the same
+        nodes a lazy pop would bound and prune — so a step may
+        overshoot ``max_nodes`` by at most one group plus its children.
+
+        Each iteration applies the four operators once:
+
+        * a leaf on top of the stack is popped and evaluated;
+        * otherwise a *group* of same-depth entries is popped and
+          prune-checked (selection + elimination): exactly one entry on
+          the DFS frontier and while a wave spills past
+          ``frontier_width``, else entries until ``pool_size`` parents
+          survive;
+        * the survivors without cached child bounds are bounded in one
+          pool-evaluator call — a single-pop group is first topped up
+          with same-depth entries from the stack (:meth:`_top_up`);
+        * the survivors are branched, highest-numbered first, and their
+          children pushed; a child whose cached bound already reaches
+          the incumbent is counted as explored, bounded and pruned
+          instead.  The incumbent cannot improve between that test and
+          the moment a lazy pop would bound the child (bounds do not
+          depend on it and it never worsens), so the totals match the
+          scalar path.
+
+        Groups always take the smallest-numbered entries and subtree
+        ranges are disjoint, so the stack stays sorted by decreasing
+        number, leaves are evaluated left to right and
+        :meth:`remaining_interval` stays a valid fold.
         """
-        if self.frontier == "wave":
-            return self._step_wave(max_nodes)
         problem = self.problem
         stack = self._stack
         leaf_depth = self.shape.leaf_depth
         weights = self._weights
         stats = self.stats
-        batched = self._batched_bounds
+        incumbent = self.incumbent
         pool_evaluator = self._pool_evaluator
+        wave = self.frontier == "wave"
+        pool_size = self.pool_size
         processed = 0
         improved = False
         provider = self.bound_provider
         poll = self.bound_poll_nodes if provider is not None else 0
-        countdown = poll
+        next_poll = poll
 
         while stack and processed < max_nodes:
-            if poll:
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = poll
-                    shared = provider()
-                    if shared < self.incumbent.cost:
-                        self.incumbent.cost = shared
-                        self.incumbent.solution = None
-            entry = stack.pop()
+            if poll and processed >= next_poll:
+                # Poll once per multiple of ``poll`` crossed; a wave
+                # that crosses several of them polls once.
+                next_poll = processed - processed % poll + poll
+                shared = provider()
+                if shared < incumbent.cost:
+                    incumbent.cost = shared
+                    incumbent.solution = None
+            entry = stack[-1]
             if entry.number >= self._end:
-                # Stack is sorted by decreasing number: everything still
-                # on it is also out of range.
-                stats.nodes_skipped_out_of_range += len(stack) + 1
+                # Sorted stack: the smallest-numbered entry is already
+                # out of range, so everything else is too.
+                stats.nodes_skipped_out_of_range += len(stack)
                 stack.clear()
                 break
-            processed += 1
-            stats.nodes_explored += 1
             depth = len(entry.ranks)
 
             if depth == leaf_depth:
+                stack.pop()
+                processed += 1
+                stats.nodes_explored += 1
                 stats.leaves_evaluated += 1
                 cost = problem.leaf_cost(entry.state)
-                if cost < self.incumbent.cost:
-                    self.incumbent.cost = cost
-                    self.incumbent.solution = problem.leaf_solution(entry.state)
+                if cost < incumbent.cost:
+                    incumbent.cost = cost
+                    incumbent.solution = problem.leaf_solution(entry.state)
                     stats.improvements += 1
                     improved = True
                     if self.on_improvement is not None:
-                        self.on_improvement(
-                            self.incumbent.cost, self.incumbent.solution
-                        )
+                        self.on_improvement(incumbent.cost, incumbent.solution)
                 continue
 
-            # A bound cached by a batched decomposition is the exact
-            # value lower_bound would return; only the comparison with
-            # the (possibly since-improved) incumbent happens now.
-            stats.bound_evaluations += 1
-            bound = entry.bound
-            if bound is None:
-                bound = problem.lower_bound(entry.state, depth)
-            if bound >= self.incumbent.cost:
-                stats.nodes_pruned += 1
+            # Selection + elimination.  A bound cached at push time is
+            # the exact value lower_bound would return; only the
+            # comparison with the current incumbent happens now.  No
+            # leaf is evaluated inside a group, so the incumbent cannot
+            # move under it.
+            single = not wave or len(stack) > self.frontier_width
+            if wave and single:
+                # An over-width stack must shrink before the next wave
+                # may multiply it: single pops drain the smallest
+                # subtrees first.
+                self.frontier_spills += 1
+            incumbent_cost = incumbent.cost
+            survivors: List[_Entry] = []
+            while True:
+                stack.pop()
+                processed += 1
+                stats.nodes_explored += 1
+                stats.bound_evaluations += 1
+                bound = entry.bound
+                if bound is None:
+                    bound = problem.lower_bound(entry.state, depth)
+                if bound >= incumbent_cost:
+                    stats.nodes_pruned += 1
+                else:
+                    stats.nodes_decomposed += 1
+                    survivors.append(entry)
+                if single or len(survivors) >= pool_size or not stack:
+                    break
+                entry = stack[-1]
+                if len(entry.ranks) != depth:
+                    break
+                if entry.number >= self._end:
+                    stats.nodes_skipped_out_of_range += len(stack)
+                    stack.clear()
+                    break
+            if not survivors:
                 continue
 
-            stats.nodes_decomposed += 1
+            # Bounding: one pool call for the survivors' children.
             child_depth = depth + 1
-            child_bounds: Optional[List[float]] = entry.child_bounds
-            if (
-                child_bounds is None
-                and pool_evaluator is not None
-                and child_depth < leaf_depth
-            ):
-                child_bounds = self._pool_fill(pool_evaluator, entry, depth)
-            if child_bounds is None and batched and child_depth < leaf_depth:
-                raw_bounds = problem.bound_children(entry.state, depth)
-                if raw_bounds is not None:
-                    if len(raw_bounds) != self.shape.num_children(depth):
-                        raise ProblemError(
-                            f"{problem.name()}.bound_children returned "
-                            f"{len(raw_bounds)} bounds at depth {depth}, "
-                            f"shape expects {self.shape.num_children(depth)}"
-                        )
-                    # One bulk conversion: comparing / storing plain
-                    # Python scalars is cheaper per child than ndarray
-                    # scalar indexing.
-                    tolist = getattr(raw_bounds, "tolist", None)
-                    child_bounds = (
-                        tolist() if tolist is not None else list(raw_bounds)
-                    )
-            children = self._branch_checked(entry.state, depth)
+            if pool_evaluator is not None and child_depth < leaf_depth:
+                group = [e for e in survivors if e.child_bounds is None]
+                if group:
+                    if single:
+                        self._top_up(group, depth)
+                    self._evaluate_pool(pool_evaluator, group, depth)
+
+            # Branching: push children, highest-numbered parent first.
             child_weight = weights[child_depth]
-            if child_bounds is None:
-                # Per-node path: push everything in range; bounds are
-                # evaluated lazily when the children are popped.
+            end = self._end
+            for entry in reversed(survivors):
+                child_bounds = entry.child_bounds
+                children = self._branch_checked(entry.state, depth)
                 for rank in range(len(children) - 1, -1, -1):
                     child_number = entry.number + rank * child_weight
-                    if child_number >= self._end:
+                    if child_number >= end:
                         stats.nodes_skipped_out_of_range += 1
                         continue
+                    child_bound = None
+                    if child_bounds is not None:
+                        child_bound = child_bounds[rank]
+                        if child_bound >= incumbent_cost:
+                            processed += 1
+                            stats.nodes_explored += 1
+                            stats.bound_evaluations += 1
+                            stats.nodes_pruned += 1
+                            continue
                     stack.append(
                         _Entry(
-                            entry.ranks + (rank,), children[rank], child_number
+                            entry.ranks + (rank,),
+                            children[rank],
+                            child_number,
+                            child_bound,
                         )
                     )
-                continue
-            # Batched path: prune before pushing.  The incumbent cannot
-            # improve between here and the moment the per-node path
-            # would pop a child that is *already* prunable now (bounds
-            # do not depend on the incumbent and the incumbent never
-            # worsens), so accounting an early-pruned child as
-            # explored+bounded+pruned matches the per-node totals
-            # exactly.  Survivors carry their bound onto the stack.
-            incumbent_cost = self.incumbent.cost
-            for rank in range(len(children) - 1, -1, -1):
-                child_number = entry.number + rank * child_weight
-                if child_number >= self._end:
-                    stats.nodes_skipped_out_of_range += 1
-                    continue
-                child_bound = child_bounds[rank]
-                if child_bound >= incumbent_cost:
-                    processed += 1
-                    stats.nodes_explored += 1
-                    stats.bound_evaluations += 1
-                    stats.nodes_pruned += 1
-                    continue
-                stack.append(
-                    _Entry(
-                        entry.ranks + (rank,),
-                        children[rank],
-                        child_number,
-                        child_bound,
-                    )
-                )
 
         return StepReport(processed, finished=not stack, improved=improved)
 
-    def _pool_fill(
-        self, evaluator: PoolEvaluator, entry: _Entry, depth: int
-    ) -> Optional[List[float]]:
-        """Bound-ahead refill: child bounds for ``entry`` plus up to
-        ``pool_size - 1`` more same-depth frontier entries, one call.
+    def _top_up(self, group: List[_Entry], depth: int) -> None:
+        """Bound-ahead: extend a single-parent ``group`` with up to
+        ``pool_size - 1`` more same-depth entries from the stack.
 
         Only *bounding* runs ahead of DFS order here — bounds are pure
-        functions of the state, independent of the incumbent — so the
-        speculation cannot change which nodes are popped, pruned,
-        decomposed or counted; it only moves the arithmetic of nodes
-        the DFS would bound anyway into one amortised backend call.
-        Candidates are taken from the top of the stack (the DFS-soonest
-        entries), skipping entries that already carry child bounds,
-        sit at another depth, fell out of the owned interval, or whose
-        own cached bound already reaches the incumbent — those are
-        certain to be pruned at pop time, so their children are never
-        needed (wasted speculation, not a semantic hazard).
+        functions of the state, independent of the incumbent — so this
+        cannot change which nodes are popped, pruned, decomposed or
+        counted; it only moves arithmetic the DFS would do anyway into
+        one amortised backend call.  Candidates come from the top of
+        the stack (the DFS-soonest entries) within a scan budget of
+        ``max(4 * pool_size, 64)`` entries, skipping entries that
+        already carry child bounds, sit at another depth, fell out of
+        the owned interval, or whose own cached bound already reaches
+        the incumbent (they will be pruned, so their children are
+        never needed).  The budget keeps a deep frontier from turning
+        every top-up into an O(stack) scan when few candidates qualify.
         """
-        group = [entry]
-        if self.pool_size > 1:
-            cost = self.incumbent.cost
-            end = self._end
-            budget = self._pool_scan
-            for cand in reversed(self._stack):
-                if len(group) >= self.pool_size or budget <= 0:
-                    break
-                budget -= 1
-                if (
-                    cand.child_bounds is not None
-                    or len(cand.ranks) != depth
-                    or cand.number >= end
-                    or (cand.bound is not None and cand.bound >= cost)
-                ):
-                    continue
-                group.append(cand)
-        self._evaluate_pool(evaluator, group, depth)
-        return entry.child_bounds
+        cost = self.incumbent.cost
+        end = self._end
+        budget = max(4 * self.pool_size, 64)
+        for cand in reversed(self._stack):
+            if len(group) >= self.pool_size or budget <= 0:
+                break
+            budget -= 1
+            if (
+                cand.child_bounds is not None
+                or len(cand.ranks) != depth
+                or cand.number >= end
+                or (cand.bound is not None and cand.bound >= cost)
+            ):
+                continue
+            group.append(cand)
 
     def _evaluate_pool(
         self, evaluator: PoolEvaluator, group: List[_Entry], depth: int
@@ -591,8 +569,8 @@ class IntervalExplorer:
         """One backend call: bound the children of every entry in
         ``group`` (all at ``depth``), cache the rows on the entries,
         and record the call's occupancy in :attr:`pool_occupancy`.
-        Declined rows (``None``) leave ``child_bounds`` unset, so the
-        caller's per-parent fallbacks still apply.
+        Declined rows (``None``) leave ``child_bounds`` unset, so those
+        children are bounded lazily when popped.
         """
         results = evaluator([cand.state for cand in group], depth)
         occupancy = len(group)
@@ -611,270 +589,10 @@ class IntervalExplorer:
                     f"{len(row)} bounds at depth {depth}, "
                     f"shape expects {expected}"
                 )
+            # One bulk conversion: comparing / storing plain Python
+            # scalars is cheaper per child than ndarray indexing.
             tolist = getattr(row, "tolist", None)
             cand.child_bounds = tolist() if tolist is not None else list(row)
-
-    # ------------------------------------------------------------------
-    # wave frontier
-    # ------------------------------------------------------------------
-    def _step_wave(self, max_nodes: float) -> StepReport:
-        """Wave-mode :meth:`step`: same-depth runs instead of single pops.
-
-        Each iteration pops the top run of same-depth entries — prune-
-        checking as it goes — until it holds ``pool_size`` decomposable
-        parents, then bounds *all* their children in one pool-evaluator
-        call and pushes the surviving children (early-pruned exactly
-        like the batched DFS path).  Because the stack is sorted by
-        decreasing number and waves always consume its top, the frontier
-        stays number-sorted, leaves are still evaluated left to right,
-        and :meth:`remaining_interval` stays a valid fold: every
-        unexplored leaf is numbered at or above the top entry.  Leaves
-        and over-``frontier_width`` spills are processed by single DFS
-        pops (:meth:`_process_single`).
-        """
-        problem = self.problem
-        stack = self._stack
-        leaf_depth = self.shape.leaf_depth
-        weights = self._weights
-        stats = self.stats
-        batched = self._batched_bounds
-        pool_evaluator = self._pool_evaluator
-        pool_size = self.pool_size
-        width = self.frontier_width
-        processed = 0
-        improved = False
-        provider = self.bound_provider
-        poll = self.bound_poll_nodes if provider is not None else 0
-        countdown = poll
-
-        while stack and processed < max_nodes:
-            if poll and countdown <= 0:
-                # Wave-sized decrements: poll roughly every
-                # ``bound_poll_nodes`` processed nodes, like DFS.
-                countdown = poll
-                shared = provider()
-                if shared < self.incumbent.cost:
-                    self.incumbent.cost = shared
-                    self.incumbent.solution = None
-            if stack[-1].number >= self._end:
-                # Sorted stack: the smallest-numbered entry is already
-                # out of range, so everything else is too.
-                stats.nodes_skipped_out_of_range += len(stack)
-                stack.clear()
-                break
-            depth = len(stack[-1].ranks)
-            if depth == leaf_depth or len(stack) > width:
-                # Leaves gain nothing from grouping (leaf_cost is
-                # scalar); an over-width stack must shrink before the
-                # next wave may multiply it — single DFS pops drain
-                # the smallest subtrees first either way.
-                if depth != leaf_depth:
-                    self.frontier_spills += 1
-                count, leaf_improved = self._process_single(stack.pop())
-                processed += count
-                countdown -= count
-                improved = improved or leaf_improved
-                continue
-
-            # Pop the wave: same-depth entries off the top until
-            # pool_size decomposable parents survive the prune test
-            # (no leaves are evaluated here, so the incumbent cannot
-            # move under the wave).
-            survivors: List[_Entry] = []
-            incumbent_cost = self.incumbent.cost
-            while stack and len(survivors) < pool_size:
-                cand = stack[-1]
-                if len(cand.ranks) != depth:
-                    break
-                if cand.number >= self._end:
-                    stats.nodes_skipped_out_of_range += len(stack)
-                    stack.clear()
-                    break
-                stack.pop()
-                processed += 1
-                countdown -= 1
-                stats.nodes_explored += 1
-                stats.bound_evaluations += 1
-                bound = cand.bound
-                if bound is None:
-                    bound = problem.lower_bound(cand.state, depth)
-                if bound >= incumbent_cost:
-                    stats.nodes_pruned += 1
-                    continue
-                stats.nodes_decomposed += 1
-                survivors.append(cand)
-            if not survivors:
-                continue
-
-            child_depth = depth + 1
-            if pool_evaluator is not None and child_depth < leaf_depth:
-                group = [e for e in survivors if e.child_bounds is None]
-                if group:
-                    self._evaluate_pool(pool_evaluator, group, depth)
-
-            # Push children, highest-numbered parent first, so the
-            # stack stays sorted by decreasing number (subtree ranges
-            # are disjoint and ordered).
-            child_weight = weights[child_depth]
-            for entry in reversed(survivors):
-                child_bounds = entry.child_bounds
-                if (
-                    child_bounds is None
-                    and batched
-                    and child_depth < leaf_depth
-                ):
-                    raw_bounds = problem.bound_children(entry.state, depth)
-                    if raw_bounds is not None:
-                        if len(raw_bounds) != self.shape.num_children(depth):
-                            raise ProblemError(
-                                f"{problem.name()}.bound_children returned "
-                                f"{len(raw_bounds)} bounds at depth {depth},"
-                                f" shape expects "
-                                f"{self.shape.num_children(depth)}"
-                            )
-                        tolist = getattr(raw_bounds, "tolist", None)
-                        child_bounds = (
-                            tolist()
-                            if tolist is not None
-                            else list(raw_bounds)
-                        )
-                children = self._branch_checked(entry.state, depth)
-                if child_bounds is None:
-                    for rank in range(len(children) - 1, -1, -1):
-                        child_number = entry.number + rank * child_weight
-                        if child_number >= self._end:
-                            stats.nodes_skipped_out_of_range += 1
-                            continue
-                        stack.append(
-                            _Entry(
-                                entry.ranks + (rank,),
-                                children[rank],
-                                child_number,
-                            )
-                        )
-                    continue
-                for rank in range(len(children) - 1, -1, -1):
-                    child_number = entry.number + rank * child_weight
-                    if child_number >= self._end:
-                        stats.nodes_skipped_out_of_range += 1
-                        continue
-                    child_bound = child_bounds[rank]
-                    if child_bound >= incumbent_cost:
-                        processed += 1
-                        countdown -= 1
-                        stats.nodes_explored += 1
-                        stats.bound_evaluations += 1
-                        stats.nodes_pruned += 1
-                        continue
-                    stack.append(
-                        _Entry(
-                            entry.ranks + (rank,),
-                            children[rank],
-                            child_number,
-                            child_bound,
-                        )
-                    )
-
-        return StepReport(processed, finished=not stack, improved=improved)
-
-    def _process_single(self, entry: _Entry) -> Tuple[int, bool]:
-        """Explore one already-popped, in-range entry the DFS way.
-
-        The wave loop's fallback for leaves and width spills — same
-        accounting as the main DFS loop, including the decomposition-
-        time pool refill and early pruning.  Returns ``(nodes counted,
-        incumbent improved)``.
-        """
-        problem = self.problem
-        stats = self.stats
-        stats.nodes_explored += 1
-        depth = len(entry.ranks)
-        leaf_depth = self.shape.leaf_depth
-
-        if depth == leaf_depth:
-            stats.leaves_evaluated += 1
-            cost = problem.leaf_cost(entry.state)
-            if cost < self.incumbent.cost:
-                self.incumbent.cost = cost
-                self.incumbent.solution = problem.leaf_solution(entry.state)
-                stats.improvements += 1
-                if self.on_improvement is not None:
-                    self.on_improvement(
-                        self.incumbent.cost, self.incumbent.solution
-                    )
-                return 1, True
-            return 1, False
-
-        stats.bound_evaluations += 1
-        bound = entry.bound
-        if bound is None:
-            bound = problem.lower_bound(entry.state, depth)
-        if bound >= self.incumbent.cost:
-            stats.nodes_pruned += 1
-            return 1, False
-
-        stats.nodes_decomposed += 1
-        child_depth = depth + 1
-        child_bounds: Optional[List[float]] = entry.child_bounds
-        if (
-            child_bounds is None
-            and self._pool_evaluator is not None
-            and child_depth < leaf_depth
-        ):
-            child_bounds = self._pool_fill(self._pool_evaluator, entry, depth)
-        if (
-            child_bounds is None
-            and self._batched_bounds
-            and child_depth < leaf_depth
-        ):
-            raw_bounds = problem.bound_children(entry.state, depth)
-            if raw_bounds is not None:
-                if len(raw_bounds) != self.shape.num_children(depth):
-                    raise ProblemError(
-                        f"{problem.name()}.bound_children returned "
-                        f"{len(raw_bounds)} bounds at depth {depth}, "
-                        f"shape expects {self.shape.num_children(depth)}"
-                    )
-                tolist = getattr(raw_bounds, "tolist", None)
-                child_bounds = (
-                    tolist() if tolist is not None else list(raw_bounds)
-                )
-        children = self._branch_checked(entry.state, depth)
-        child_weight = self._weights[child_depth]
-        stack = self._stack
-        processed = 1
-        if child_bounds is None:
-            for rank in range(len(children) - 1, -1, -1):
-                child_number = entry.number + rank * child_weight
-                if child_number >= self._end:
-                    stats.nodes_skipped_out_of_range += 1
-                    continue
-                stack.append(
-                    _Entry(entry.ranks + (rank,), children[rank], child_number)
-                )
-            return processed, False
-        incumbent_cost = self.incumbent.cost
-        for rank in range(len(children) - 1, -1, -1):
-            child_number = entry.number + rank * child_weight
-            if child_number >= self._end:
-                stats.nodes_skipped_out_of_range += 1
-                continue
-            child_bound = child_bounds[rank]
-            if child_bound >= incumbent_cost:
-                processed += 1
-                stats.nodes_explored += 1
-                stats.bound_evaluations += 1
-                stats.nodes_pruned += 1
-                continue
-            stack.append(
-                _Entry(
-                    entry.ranks + (rank,),
-                    children[rank],
-                    child_number,
-                    child_bound,
-                )
-            )
-        return processed, False
 
     def run(self) -> ExplorationStats:
         """Explore the whole owned interval to completion."""
@@ -893,10 +611,8 @@ def solve(
     initial_upper_bound: float = math.inf,
     initial_solution: Any = None,
     on_improvement: Optional[ImprovementCallback] = None,
-    batched_bounds: Optional[bool] = None,
     kernel_backend: Optional[str] = None,
     pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
     frontier: str = "dfs",
     frontier_width: int = 32768,
 ) -> SolveResult:
@@ -909,9 +625,9 @@ def solve(
     ``initial_upper_bound`` for the same effect (note: with a pure
     bound and no solution, an instance whose optimum equals the bound
     reports ``solution=None``; pass ``initial_solution`` to keep it).
-    ``kernel_backend`` / ``pool_size`` / ``pool_scan_budget`` select
-    the pool bound-kernel backend (see :class:`IntervalExplorer`); the
-    default pools with numpy on problems that register pooled kernels.
+    ``kernel_backend`` / ``pool_size`` select the pool bound-kernel
+    backend (see :class:`IntervalExplorer`); the default pools with
+    numpy on problems that register pooled kernels.
     ``frontier="wave"`` (with its ``frontier_width`` memory cap) fills
     those pools from same-depth exploration waves instead of the DFS
     stack — same optimum and proof, wider kernel calls.
@@ -930,10 +646,8 @@ def solve(
         interval,
         incumbent=incumbent,
         on_improvement=on_improvement,
-        batched_bounds=batched_bounds,
         kernel_backend=kernel_backend,
         pool_size=pool_size,
-        pool_scan_budget=pool_scan_budget,
         frontier=frontier,
         frontier_width=frontier_width,
     )

@@ -1,14 +1,15 @@
 """Pluggable pool bound-kernel backends (PR 7).
 
-The engine's pool-evaluation loop collects decomposition-pending
-frontier nodes and bounds *all* their children in one backend call.
-This package is the seam between that loop and the arithmetic:
+The engine's exploration loop collects decomposition-pending frontier
+nodes and bounds *all* their children in one backend call — its only
+batched bounding route.  This package is the seam between that loop
+and the arithmetic:
 
 * :class:`BoundKernel` / :data:`PoolEvaluator` — the backend contract
   (:mod:`~repro.core.kernels.base`);
-* :func:`get_backend` — ``"numpy"`` (always available, the default),
-  ``"numba"`` (JIT loop kernels, optional dep, graceful fallback) and
-  ``"cupy"`` (GPU stub, same interface);
+* :func:`get_backend` — ``"numpy"`` (always available, the default)
+  and ``"numba"`` (JIT loop kernels, optional dep, graceful fallback);
+  a GPU backend would register here the same way;
 * :func:`register_pool_factory` — how problem packages plug their
   pooled kernels in per backend, without the core importing them.
 
@@ -50,7 +51,7 @@ __all__ = [
 ]
 
 # The names the CLI / RuntimeConfig accept, beyond "auto" and "off".
-KERNEL_BACKEND_CHOICES: Tuple[str, ...] = ("numpy", "numba", "cupy")
+KERNEL_BACKEND_CHOICES: Tuple[str, ...] = ("numpy", "numba")
 
 
 def pool_evaluator_for(
@@ -62,7 +63,8 @@ def pool_evaluator_for(
     *iff* the problem registered a pooled kernel factory — problems
     without one keep their exact pre-pool behaviour rather than paying
     for speculative per-parent loops.  ``backend="off"`` disables
-    pooling explicitly; any other name resolves via
+    pooling explicitly (every node is then bounded by a scalar
+    ``Problem.lower_bound`` call); any other name resolves via
     :func:`get_backend` (unknown names raise ``EngineError``).
     """
     if backend == "off":

@@ -1,9 +1,8 @@
 """Backend interface for pool bound kernels.
 
-The engine's pool-evaluation loop (PR 7) hands *whole frontier pools*
-— many same-depth parent states — to one backend call, amortising the
-per-call overhead that sibling-sized batches (PR 2) still pay per
-node.  This module defines the two contracts that make the backends
+The engine's exploration loop hands *whole frontier pools* — many
+same-depth parent states — to one backend call, amortising the
+per-call overhead over every child of the pool.  This module defines the two contracts that make the backends
 pluggable:
 
 * :data:`PoolEvaluator` — the per-problem callable a backend resolves:
@@ -13,10 +12,10 @@ pluggable:
   what :meth:`Problem.lower_bound` would return child by child — the
   engine's accounting equivalence rests on it, and the property suite
   (``tests/test_kernel_backends.py``) enforces it per backend.
-* :class:`BoundKernel` — a named backend (``numpy`` / ``numba`` /
-  ``cupy``) that resolves a :data:`PoolEvaluator` for a concrete
-  problem instance, typically via the factories problem packages
-  register with :mod:`repro.core.kernels.registry`.
+* :class:`BoundKernel` — a named backend (``numpy`` / ``numba``) that
+  resolves a :data:`PoolEvaluator` for a concrete problem instance,
+  typically via the factories problem packages register with
+  :mod:`repro.core.kernels.registry`.
 
 Optional-dependency backends must *never* import their accelerator at
 module level (rule RC09): availability is probed lazily and a missing
@@ -34,8 +33,8 @@ __all__ = ["BoundKernel", "PoolEvaluator"]
 
 # ``evaluator(states, depth) -> rows | None``: one row of child bounds
 # (any sequence or ndarray, rank order) per parent state, or ``None``
-# per row / for the whole pool to decline — the engine then falls back
-# to the per-parent ``Problem.bound_children`` path for those parents.
+# per row / for the whole pool to decline — the engine then bounds those
+# parents' children lazily with ``Problem.lower_bound`` when popped.
 PoolEvaluator = Callable[[Sequence[Any], int], Optional[Sequence[Any]]]
 
 
@@ -60,9 +59,9 @@ class BoundKernel(ABC):
     def evaluator_for(self, problem: Any) -> Optional[PoolEvaluator]:
         """Resolve the pool evaluator for ``problem``.
 
-        Returns ``None`` when the problem offers nothing poolable (no
-        registered factory and no ``bound_children`` override); the
-        engine then runs the plain batched path.  Unavailable optional
+        Returns ``None`` when the problem registered no pool factory;
+        the engine then bounds every node lazily with
+        :meth:`Problem.lower_bound`.  Unavailable optional
         backends fall back to the numpy backend's evaluator instead of
         raising, warning once per process.
         """

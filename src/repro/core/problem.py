@@ -59,27 +59,6 @@ class Problem(ABC):
         the LB <= cost invariant testable).
         """
 
-    def bound_children(self, state: Any, depth: int) -> Optional[Sequence[float]]:
-        """Lower bounds of *all* children of ``state``, in rank order.
-
-        Optional batch counterpart of :meth:`lower_bound`: when a
-        problem can evaluate the bounds of every child of a node in one
-        vectorised kernel (the GPU-B&B structure of Chakroun & Melab),
-        the engine calls this once per decomposition instead of calling
-        :meth:`lower_bound` once per child, and prunes children before
-        they are ever pushed.
-
-        The returned sequence must have exactly
-        ``tree_shape().num_children(depth)`` entries — one per child
-        returned by :meth:`branch` — and entry ``r`` must equal
-        ``lower_bound(branch(state, depth)[r], depth + 1)`` exactly
-        (same admissibility, same value; the engine's node accounting
-        relies on the equivalence).  Returning ``None`` falls back to
-        the per-node path for this decomposition.  The engine never
-        calls this when the children are leaves.
-        """
-        return None
-
     @abstractmethod
     def leaf_cost(self, state: Any) -> float:
         """Exact cost of a leaf state."""

@@ -44,7 +44,7 @@ class ResumableSolver:
         directory starts from the root interval.
     checkpoint_nodes:
         Explore this many nodes between checkpoints.
-    kernel_backend / pool_size / pool_scan_budget:
+    kernel_backend / pool_size:
         Pool-evaluation kernel configuration forwarded to the
         underlying :class:`IntervalExplorer` (see
         :mod:`repro.core.kernels`).
@@ -73,7 +73,6 @@ class ResumableSolver:
         initial_solution=None,
         kernel_backend=None,
         pool_size: int = 64,
-        pool_scan_budget: Optional[int] = None,
         frontier: str = "dfs",
         frontier_width: int = 32768,
     ):
@@ -106,7 +105,6 @@ class ResumableSolver:
             incumbent=incumbent,
             kernel_backend=kernel_backend,
             pool_size=pool_size,
-            pool_scan_budget=pool_scan_budget,
             frontier=frontier,
             frontier_width=frontier_width,
         )

@@ -277,7 +277,6 @@ def run_worker(
     backoff_cap: float = 2.0,
     kernel_backend: Optional[str] = None,
     pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
     frontier: str = "dfs",
     frontier_width: int = 32768,
 ) -> str:
@@ -332,7 +331,6 @@ def run_worker(
         pipeline_updates=pipeline_updates,
         kernel_backend=kernel_backend,
         pool_size=pool_size,
-        pool_scan_budget=pool_scan_budget,
         frontier=frontier,
         frontier_width=frontier_width,
     )

@@ -273,7 +273,6 @@ def worker_main(
     bound_poll_nodes: int = 256,
     kernel_backend: Optional[str] = None,
     pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
     frontier: str = "dfs",
     frontier_width: int = 32768,
 ) -> str:
@@ -292,10 +291,10 @@ def worker_main(
     immediately.  ``shared_bound`` is the run's advisory
     :class:`~repro.grid.runtime.shared.SharedBound` (or None).
 
-    ``kernel_backend`` / ``pool_size`` / ``pool_scan_budget``
-    configure the pool-evaluation bound kernels of every explorer
-    this worker runs (see :mod:`repro.core.kernels`): ``None``
-    auto-selects, ``"off"`` keeps per-family batched bounds only.
+    ``kernel_backend`` / ``pool_size`` configure the pool-evaluation
+    bound kernels of every explorer this worker runs (see
+    :mod:`repro.core.kernels`): ``None`` auto-selects, ``"off"``
+    bounds every node with the scalar ``lower_bound``.
     ``frontier`` / ``frontier_width`` select the exploration order
     (``"dfs"`` or ``"wave"`` — see
     :class:`~repro.core.engine.IntervalExplorer`); both orders fold
@@ -342,7 +341,6 @@ def worker_main(
             bound_poll_nodes=bound_poll_nodes,
             kernel_backend=kernel_backend,
             pool_size=pool_size,
-            pool_scan_budget=pool_scan_budget,
             frontier=frontier,
             frontier_width=frontier_width,
         )
@@ -370,7 +368,6 @@ def _worker_loop(
     bound_poll_nodes: int,
     kernel_backend: Optional[str] = None,
     pool_size: int = 64,
-    pool_scan_budget: Optional[int] = None,
     frontier: str = "dfs",
     frontier_width: int = 32768,
 ) -> str:
@@ -515,7 +512,6 @@ def _worker_loop(
             bound_poll_nodes=bound_poll_nodes,
             kernel_backend=kernel_backend,
             pool_size=pool_size,
-            pool_scan_budget=pool_scan_budget,
             frontier=frontier,
             frontier_width=frontier_width,
         )

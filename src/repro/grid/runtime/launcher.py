@@ -79,12 +79,12 @@ class RuntimeConfig:
     full range — the parallel counterpart of ``solve(..., interval=…)``;
     the proved optimum is then the optimum over that slice.
 
-    ``kernel_backend`` / ``pool_size`` / ``pool_scan_budget``
-    configure every worker explorer's pool-evaluation bound kernels
-    (see :mod:`repro.core.kernels`): ``None`` auto-selects a
-    registered pool kernel, ``"off"`` disables pooling (per-family
-    batched bounds only), a name (``"numpy"``/``"numba"``/``"cupy"``)
-    forces that backend.  ``frontier`` selects the exploration order
+    ``kernel_backend`` / ``pool_size`` configure every worker
+    explorer's pool-evaluation bound kernels (see
+    :mod:`repro.core.kernels`): ``None`` auto-selects a registered pool
+    kernel, ``"off"`` bounds every node with the scalar
+    ``lower_bound``, a name (``"numpy"``/``"numba"``) forces that
+    backend.  ``frontier`` selects the exploration order
     per worker: ``"dfs"`` (the paper's, byte-identical stats) or
     ``"wave"`` (same-depth waves that fill pool kernels to
     ``pool_size``; identical optimum and proof, honest node counts),
@@ -109,7 +109,6 @@ class RuntimeConfig:
     bound_poll_nodes: int = 256
     kernel_backend: Optional[str] = None  # pool kernels: auto/off/name
     pool_size: int = 64  # frontier entries per pool evaluation
-    pool_scan_budget: Optional[int] = None  # DFS pool-refill scan cap
     frontier: str = "dfs"  # exploration order: "dfs" | "wave"
     frontier_width: int = 32768  # wave stack cap before DFS spill
     poll_interval: float = 0.05  # coordinator pump queue wait
@@ -263,7 +262,6 @@ def solve_parallel(spec: ProblemSpec, config: Optional[RuntimeConfig] = None) ->
                 "bound_poll_nodes": config.bound_poll_nodes,
                 "kernel_backend": config.kernel_backend,
                 "pool_size": config.pool_size,
-                "pool_scan_budget": config.pool_scan_budget,
                 "frontier": config.frontier,
                 "frontier_width": config.frontier_width,
             },

@@ -18,10 +18,13 @@ The pair-wise Johnson orders depend only on the instance, so they are
 precomputed once in :class:`BoundData`.  Per node the scalar bound is a
 linear scan of the unscheduled jobs in the precomputed order (selected
 by a membership-mask pass over the full order — O(n) per pair, no
-re-sorting).  The engine's hot path, however, uses the *batched* child
-kernels (``*_children``): they bound every child of a decomposed node
-in one NumPy evaluation, the structure the GPU flow-shop B&B line
-(Chakroun & Melab; Gmys) derives its throughput from.  LB2's batch
+re-sorting).  The engine's hot path, however, goes through the pool
+evaluator (:mod:`repro.problems.flowshop.pool`), which uses the batched
+child kernels: ``*_children_pool`` bound every child of a whole pool of
+nodes in one NumPy evaluation, and ``*_children`` every child of a
+single node (the singleton fast path) — the structure the GPU
+flow-shop B&B line (Chakroun & Melab; Gmys) derives its throughput
+from.  LB2's batch
 kernel replays the shared Johnson order once per pair with prefix /
 suffix maxima of the F2 critical-path terms, making each child's
 "replay minus its own job" an O(1) lookup.

@@ -49,7 +49,7 @@ def _gather(
     parent_fronts = np.stack([state.front for state in states])
     p_rem = problem.instance.processing_times[remaining]
     fronts = advance_fronts_pool(parent_fronts, p_rem)
-    problem.store_child_fronts(states, fronts, p_rem)
+    problem.store_child_fronts(states, fronts)
     return fronts, remaining, p_rem
 
 
@@ -73,9 +73,7 @@ class FlowShopNumpyPool:
             remaining1 = state.remaining
             p_rem1 = data.p[remaining1]
             fronts1 = advance_fronts_batch(state.front, p_rem1)
-            self._problem.store_child_fronts(
-                states, fronts1[np.newaxis], p_rem1[np.newaxis]
-            )
+            self._problem.store_child_fronts(states, fronts1[np.newaxis])
             if self._bound == "combined":
                 row = data.combined_children(fronts1, remaining1, p_rem1)
             elif self._bound == "lb1":

@@ -17,6 +17,7 @@ import math
 import multiprocessing as mp
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -182,6 +183,32 @@ class TestEngineBoundProvider:
         assert (
             explorer.stats.nodes_explored <= baseline.stats.nodes_explored
         )
+
+    @pytest.mark.parametrize("frontier", ["dfs", "wave"])
+    def test_polled_every_bound_poll_nodes_processed_nodes(self, frontier):
+        # Children pruned at push time count as processed nodes, so they
+        # count towards the poll cadence too.  DFS polls once per
+        # ``bound_poll_nodes`` processed nodes; a wave polls at most
+        # once per wave, so it can only poll less often.
+        polls = {"count": 0}
+
+        def provider():
+            polls["count"] += 1
+            return math.inf
+
+        explorer = IntervalExplorer(
+            FlowShopProblem(random_instance(8, 4, seed=3)),
+            bound_provider=provider,
+            bound_poll_nodes=16,
+            frontier=frontier,
+        )
+        processed = explorer.step(math.inf).nodes_processed
+        assert processed == explorer.stats.nodes_explored
+        expected = processed // 16
+        if frontier == "dfs":
+            assert abs(polls["count"] - expected) <= 1
+        else:
+            assert 0 < polls["count"] <= expected
 
     def test_provider_with_inf_changes_nothing(self):
         instance = random_instance(6, 3, seed=9)

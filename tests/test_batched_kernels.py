@@ -1,12 +1,13 @@
 """Property tests: batched child kernels == scalar bounds, exactly.
 
-PR 2's engine fast path prunes children with bounds produced by the
+The pool evaluators' singleton fast path bounds children with the
 ``*_children`` batch kernels instead of per-node ``lower_bound``
 calls.  Its correctness argument rests on *exact* (not approximate)
 agreement between the two, so these tests quantify over randomized
 instances and partial schedules and require equality entry for entry —
 and, end to end, that ``solve()`` returns identical optima and
-byte-identical ``ExplorationStats`` on both paths.
+byte-identical ``ExplorationStats`` on the scalar path
+(``kernel_backend="off"``) and the pooled default.
 """
 
 import numpy as np
@@ -166,46 +167,41 @@ class TestTSPKernels:
 
 
 class TestSolveParity:
-    """Both engine paths must be indistinguishable except for speed."""
+    """The scalar path (``kernel_backend="off"``) and the pooled default
+    must be indistinguishable except for speed."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("pair_strategy", ("adjacent+ends", "all"))
     def test_flowshop(self, seed, pair_strategy):
         instance = random_instance(7, 4, seed=seed)
-        results = [
+        scalar, pooled = [
             solve(
                 FlowShopProblem(instance, pair_strategy=pair_strategy),
-                batched_bounds=batched,
+                kernel_backend=backend,
             )
-            for batched in (False, True)
+            for backend in ("off", None)
         ]
-        scalar, batched = results
-        assert scalar.cost == batched.cost
-        assert scalar.solution == batched.solution
-        assert vars(scalar.stats) == vars(batched.stats)
+        assert scalar.cost == pooled.cost
+        assert scalar.solution == pooled.solution
+        assert vars(scalar.stats) == vars(pooled.stats)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_tsp(self, seed):
         instance = random_tsp(7, seed=seed)
-        results = [
-            solve(TSPProblem(instance), batched_bounds=batched)
-            for batched in (False, True)
+        scalar, pooled = [
+            solve(TSPProblem(instance), kernel_backend=backend)
+            for backend in ("off", None)
         ]
-        scalar, batched = results
-        assert scalar.cost == batched.cost
-        assert scalar.solution == batched.solution
-        assert vars(scalar.stats) == vars(batched.stats)
+        assert scalar.cost == pooled.cost
+        assert scalar.solution == pooled.solution
+        assert vars(scalar.stats) == vars(pooled.stats)
 
     @pytest.mark.parametrize("bound", ("lb1", "lb2", "combined"))
     def test_flowshop_bound_variants(self, bound):
         instance = random_instance(7, 3, seed=11)
-        results = [
-            solve(
-                FlowShopProblem(instance, bound=bound),
-                batched_bounds=batched,
-            )
-            for batched in (False, True)
+        scalar, pooled = [
+            solve(FlowShopProblem(instance, bound=bound), kernel_backend=backend)
+            for backend in ("off", None)
         ]
-        scalar, batched = results
-        assert scalar.cost == batched.cost
-        assert vars(scalar.stats) == vars(batched.stats)
+        assert scalar.cost == pooled.cost
+        assert vars(scalar.stats) == vars(pooled.stats)

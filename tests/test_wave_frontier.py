@@ -65,7 +65,7 @@ class TestWaveMatchesScalarOracle:
                 instance, bound=bound, pair_strategy=strategy
             )
 
-        oracle = solve(make(), batched_bounds=False)
+        oracle = solve(make(), kernel_backend="off")
         wave = solve(
             make(),
             frontier="wave",
@@ -83,7 +83,7 @@ class TestWaveMatchesScalarOracle:
     @settings(max_examples=20, deadline=None)
     def test_tsp(self, cities, seed, pool_size, width):
         instance = random_tsp(cities, seed=seed)
-        oracle = solve(TSPProblem(instance), batched_bounds=False)
+        oracle = solve(TSPProblem(instance), kernel_backend="off")
         wave = solve(
             TSPProblem(instance),
             frontier="wave",
@@ -104,7 +104,7 @@ class TestWaveMatchesScalarOracle:
         oracle = solve(
             FlowShopProblem(instance),
             interval=interval,
-            batched_bounds=False,
+            kernel_backend="off",
         )
         wave = solve(
             FlowShopProblem(instance),
@@ -133,13 +133,13 @@ class TestWaveMatchesScalarOracle:
             pool_size=8,
             frontier_width=1,
         )
-        oracle = solve(FlowShopProblem(instance), batched_bounds=False)
+        oracle = solve(FlowShopProblem(instance), kernel_backend="off")
         _assert_same_resolution(oracle, wave)
         assert wave.frontier_spills > 0
 
 
 # ----------------------------------------------------------------------
-# Parameter surface: validation and the pool_scan_budget exposure.
+# Parameter surface: validation.
 # ----------------------------------------------------------------------
 
 
@@ -158,37 +158,27 @@ class TestParameterValidation:
         with pytest.raises(EngineError, match="frontier_width"):
             IntervalExplorer(problem, frontier_width=width)
 
-    @pytest.mark.parametrize("budget", (0, -4))
-    def test_bad_pool_scan_budget_rejected(self, budget):
-        problem = FlowShopProblem(random_instance(4, 2, seed=0))
-        with pytest.raises(EngineError, match="pool_scan_budget"):
-            IntervalExplorer(problem, pool_scan_budget=budget)
-
-    @pytest.mark.parametrize("budget", (1, 7, 1000))
-    def test_pool_scan_budget_exact(self, budget):
-        """Any scan budget changes only speed, never the resolution."""
-        instance = random_instance(7, 4, seed=5)
-        oracle = solve(FlowShopProblem(instance), batched_bounds=False)
-        capped = solve(
-            FlowShopProblem(instance),
-            pool_size=16,
-            pool_scan_budget=budget,
-        )
-        assert capped.cost == oracle.cost
-        assert capped.solution == oracle.solution
-        assert vars(capped.stats) == vars(oracle.stats)
 
 
 class TestCliValidation:
-    @pytest.mark.parametrize(
-        "flag", ("--pool-size", "--frontier-width", "--pool-scan-budget")
-    )
+    @pytest.mark.parametrize("flag", ("--pool-size", "--frontier-width"))
     @pytest.mark.parametrize("value", ("0", "-3"))
     def test_non_positive_rejected(self, capsys, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--jobs", "5", flag, value])
         assert exc.value.code == 2
         assert "positive integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        (["--pool-scan-budget", "8"], ["--kernel-backend", "cupy"]),
+        ids=("--pool-scan-budget", "cupy"),
+    )
+    def test_removed_options_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--jobs", "5"] + argv)
+        assert exc.value.code == 2
+        assert argv[0] in capsys.readouterr().err
 
     def test_non_integer_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -227,7 +217,7 @@ class TestWaveFoldRoundTrip:
         never lost work — so only the resolution is compared.
         """
         instance = random_instance(6, 3, seed=seed)
-        oracle = solve(FlowShopProblem(instance), batched_bounds=False)
+        oracle = solve(FlowShopProblem(instance), kernel_backend="off")
 
         explorer = IntervalExplorer(
             FlowShopProblem(instance),
@@ -282,7 +272,7 @@ class TestWaveFoldRoundTrip:
     def test_resume_into_dfs_mode(self):
         """A folded wave interval is mode-agnostic: DFS resumes it."""
         instance = random_instance(6, 3, seed=9)
-        oracle = solve(FlowShopProblem(instance), batched_bounds=False)
+        oracle = solve(FlowShopProblem(instance), kernel_backend="off")
         explorer = IntervalExplorer(
             FlowShopProblem(instance), frontier="wave", pool_size=8
         )
@@ -301,7 +291,7 @@ class TestWaveFoldRoundTrip:
         from repro.core import ResumableSolver
 
         instance = random_instance(7, 3, seed=21)
-        oracle = solve(FlowShopProblem(instance), batched_bounds=False)
+        oracle = solve(FlowShopProblem(instance), kernel_backend="off")
         solver = ResumableSolver(
             FlowShopProblem(instance),
             tmp_path,
