@@ -171,8 +171,12 @@ class TestCliValidation:
 
     @pytest.mark.parametrize(
         "argv",
-        (["--pool-scan-budget", "8"], ["--kernel-backend", "cupy"]),
-        ids=("--pool-scan-budget", "cupy"),
+        (
+            ["--pool-scan-budget", "0"],
+            ["--pool-scan-budget", "-3"],
+            ["--kernel-backend", "cupy"],
+        ),
+        ids=("0---pool-scan-budget", "-3---pool-scan-budget", "cupy"),
     )
     def test_removed_options_rejected(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
